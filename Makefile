@@ -24,10 +24,13 @@ test:
 # iteration counts run over run to be comparable at all, and the 3x floor
 # averages the wall-clock numbers over three solves so a single scheduling
 # hiccup cannot swing ns/op past the bench-gate's 20% tolerance the way the
-# old single-iteration runs could.
+# old single-iteration runs could. BENCHPKGS archives the service's
+# whole-request benches (BenchmarkService_Hit/Miss: allocs/op per DCT cache
+# hit and miss through the handler) next to the root package's solver suite.
 BENCHTIME ?= 3x
+BENCHPKGS := . ./internal/service
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . > BENCH_$(DATE).json
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json $(BENCHPKGS) > BENCH_$(DATE).json
 	@echo wrote BENCH_$(DATE).json
 
 # bench-smoke is the quick CI variant: just the tempart solver-core benches.
@@ -48,7 +51,7 @@ bench-lp:
 # B&B-nodes, pivots/op, refactorizations/op, bound-flips/op, nodes/sec)
 # regresses >20% against the newest committed BENCH_*.json baseline.
 bench-gate:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json . > /tmp/bench-current.json
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count 1 -benchmem -json $(BENCHPKGS) > /tmp/bench-current.json
 	$(GO) run ./cmd/benchgate -old $$(ls BENCH_*.json | sort | tail -1) -new /tmp/bench-current.json
 
 # race runs the concurrency-heavy packages under the race detector:

@@ -1,11 +1,13 @@
 package dfg
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file implements canonical structure hashing of task graphs, the key
@@ -19,37 +21,62 @@ import (
 // repeatedly absorbs the sorted multiset of (edge data, neighbor signature)
 // pairs on both sides until the signature partition stops refining.
 //
+// One refinement yields both canonical views: Canonical returns the
+// structure hash (the cache key's graph part) and the canonical task order
+// (the frame a cached assignment is stored in) from a single WL run, so a
+// service request refines its graph once. StructureHash and CanonicalOrder
+// are views over the same pass. The refinement reuses one SHA-256 digest
+// and its scratch buffers across every task and round; the bytes fed to
+// the digest are fixed, so hashes and orders are stable across releases
+// (testdata/canon_golden.json pins them).
+//
 // WL refinement cannot distinguish every pair of non-isomorphic graphs in
 // theory, but with edge weights and the rich per-task attribute tuple the
 // known counterexamples (large regular unlabeled graphs) do not arise in
 // task-graph workloads; any collision is caught downstream because cached
 // assignments are re-verified against the requesting graph before reuse.
 
+// sigHasher reuses one SHA-256 digest for every signature of a refinement:
+// a signature is the first 8 bytes of the digest of msg.
+type sigHasher struct {
+	h     hash.Hash
+	msg   []byte
+	sum   [sha256.Size]byte
+	kinds []string
+}
+
+func (s *sigHasher) put(v uint64) { s.msg = binary.BigEndian.AppendUint64(s.msg, v) }
+
+func (s *sigHasher) puts(v string) {
+	s.msg = append(s.msg, v...)
+	s.msg = append(s.msg, 0)
+}
+
+// sig digests msg and resets it for the next signature.
+func (s *sigHasher) sig() uint64 {
+	s.h.Reset()
+	s.h.Write(s.msg)
+	s.msg = s.msg[:0]
+	return binary.BigEndian.Uint64(s.h.Sum(s.sum[:0]))
+}
+
 // taskSig hashes the name-free local attributes of a task.
-func taskSig(t *Task) uint64 {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte(t.Type))
-	h.Write([]byte{0})
-	put(uint64(t.Resources))
-	put(math.Float64bits(t.Delay))
-	put(uint64(t.ReadEnv))
-	put(uint64(t.WriteEnv))
-	kinds := make([]string, 0, len(t.Extra))
+func (s *sigHasher) taskSig(t *Task) uint64 {
+	s.puts(t.Type)
+	s.put(uint64(t.Resources))
+	s.put(math.Float64bits(t.Delay))
+	s.put(uint64(t.ReadEnv))
+	s.put(uint64(t.WriteEnv))
+	s.kinds = s.kinds[:0]
 	for k := range t.Extra {
-		kinds = append(kinds, k)
+		s.kinds = append(s.kinds, k)
 	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-		put(uint64(t.Extra[k]))
+	slices.Sort(s.kinds)
+	for _, k := range s.kinds {
+		s.puts(k)
+		s.put(uint64(t.Extra[k]))
 	}
-	return binary.BigEndian.Uint64(h.Sum(nil))
+	return s.sig()
 }
 
 // refineSigs runs WL color refinement and returns the stable per-task
@@ -57,56 +84,66 @@ func taskSig(t *Task) uint64 {
 // grows (or after NumTasks rounds, the refinement diameter bound).
 func (g *Graph) refineSigs() []uint64 {
 	n := len(g.tasks)
+	s := &sigHasher{h: sha256.New()}
 	sigs := make([]uint64, n)
 	for i, t := range g.tasks {
-		sigs[i] = taskSig(t)
+		sigs[i] = s.taskSig(t)
 	}
-	edgeData := make(map[[2]int]int, len(g.edges))
+	// Edge data aligned with pred[i] and succ[i]: AddEdgeByID appends to
+	// edges, succ and pred together, so replaying edges in order rebuilds
+	// the alignment. One backing array holds both sides of every task.
+	flat := make([]uint64, 2*len(g.edges))
+	predData := make([][]uint64, n)
+	succData := make([][]uint64, n)
+	maxDeg, off := 0, 0
+	for i := 0; i < n; i++ {
+		np, ns := len(g.pred[i]), len(g.succ[i])
+		predData[i] = flat[off : off : off+np]
+		off += np
+		succData[i] = flat[off : off : off+ns]
+		off += ns
+		maxDeg = max(maxDeg, np, ns)
+	}
 	for _, e := range g.edges {
-		edgeData[[2]int{e.From, e.To}] = e.Data
+		succData[e.From] = append(succData[e.From], uint64(e.Data))
+		predData[e.To] = append(predData[e.To], uint64(e.Data))
 	}
-	distinct := func(s []uint64) int {
-		set := make(map[uint64]struct{}, len(s))
-		for _, v := range s {
-			set[v] = struct{}{}
+	set := make(map[uint64]struct{}, n)
+	distinct := func(v []uint64) int {
+		clear(set)
+		for _, x := range v {
+			set[x] = struct{}{}
 		}
 		return len(set)
 	}
+	pairs := make([][2]uint64, 0, maxDeg)
 	prev := distinct(sigs)
 	next := make([]uint64, n)
-	var buf [8]byte
 	for round := 0; round < n; round++ {
 		for i := range g.tasks {
-			h := sha256.New()
-			put := func(v uint64) {
-				binary.BigEndian.PutUint64(buf[:], v)
-				h.Write(buf[:])
-			}
-			put(sigs[i])
-			for s, side := range [2][]int{g.pred[i], g.succ[i]} {
-				pairs := make([][2]uint64, 0, len(side))
-				for _, nb := range side {
-					var data int
-					if s == 0 {
-						data = edgeData[[2]int{nb, i}]
-					} else {
-						data = edgeData[[2]int{i, nb}]
-					}
-					pairs = append(pairs, [2]uint64{uint64(data), sigs[nb]})
+			s.put(sigs[i])
+			for side, nbs := range [2][]int{g.pred[i], g.succ[i]} {
+				data := predData[i]
+				if side == 1 {
+					data = succData[i]
 				}
-				sort.Slice(pairs, func(a, b int) bool {
-					if pairs[a][0] != pairs[b][0] {
-						return pairs[a][0] < pairs[b][0]
+				pairs = pairs[:0]
+				for k, nb := range nbs {
+					pairs = append(pairs, [2]uint64{data[k], sigs[nb]})
+				}
+				slices.SortFunc(pairs, func(a, b [2]uint64) int {
+					if c := cmp.Compare(a[0], b[0]); c != 0 {
+						return c
 					}
-					return pairs[a][1] < pairs[b][1]
+					return cmp.Compare(a[1], b[1])
 				})
-				put(uint64(len(pairs)))
+				s.put(uint64(len(pairs)))
 				for _, p := range pairs {
-					put(p[0])
-					put(p[1])
+					s.put(p[0])
+					s.put(p[1])
 				}
 			}
-			next[i] = binary.BigEndian.Uint64(h.Sum(nil))
+			next[i] = s.sig()
 		}
 		sigs, next = next, sigs
 		if d := distinct(sigs); d == prev {
@@ -118,37 +155,43 @@ func (g *Graph) refineSigs() []uint64 {
 	return sigs
 }
 
+// Canonical runs one WL refinement and returns both canonical views of the
+// graph: the structure hash (see StructureHash) and the canonical task
+// order (see CanonicalOrder). Callers that need both — the service's cache
+// path keys a request and transfers its cached assignment — refine once.
+func (g *Graph) Canonical() (structure string, order []int) {
+	sigs := g.refineSigs()
+	return g.structureHash(sigs), g.canonicalOrder(sigs)
+}
+
 // StructureHash returns a hex-encoded SHA-256 digest of the graph's
 // structure that is invariant under task renaming and under reordering of
 // task and edge insertion, and (modulo WL limitations, see above) differs
 // for any structural change: task attributes, edge endpoints, or edge data.
 // The graph Name is deliberately excluded.
-func (g *Graph) StructureHash() string {
-	sigs := g.refineSigs()
-	final := append([]uint64(nil), sigs...)
-	sort.Slice(final, func(a, b int) bool { return final[a] < final[b] })
+func (g *Graph) StructureHash() string { return g.structureHash(g.refineSigs()) }
+
+func (g *Graph) structureHash(sigs []uint64) string {
+	final := slices.Clone(sigs)
+	slices.Sort(final)
 
 	type etriple struct{ from, to, data uint64 }
 	ets := make([]etriple, 0, len(g.edges))
 	for _, e := range g.edges {
 		ets = append(ets, etriple{sigs[e.From], sigs[e.To], uint64(e.Data)})
 	}
-	sort.Slice(ets, func(a, b int) bool {
-		if ets[a].from != ets[b].from {
-			return ets[a].from < ets[b].from
+	slices.SortFunc(ets, func(a, b etriple) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
 		}
-		if ets[a].to != ets[b].to {
-			return ets[a].to < ets[b].to
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
 		}
-		return ets[a].data < ets[b].data
+		return cmp.Compare(a.data, b.data)
 	})
 
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	msg := make([]byte, 0, 8*(2+len(final)+3*len(ets)))
+	put := func(v uint64) { msg = binary.BigEndian.AppendUint64(msg, v) }
 	put(uint64(len(g.tasks)))
 	put(uint64(len(g.edges)))
 	for _, s := range final {
@@ -159,7 +202,8 @@ func (g *Graph) StructureHash() string {
 		put(e.to)
 		put(e.data)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(msg)
+	return hex.EncodeToString(sum[:])
 }
 
 // CanonicalOrder returns a permutation of task indices sorted into a
@@ -172,9 +216,10 @@ func (g *Graph) StructureHash() string {
 // an isomorphic request graph; the transfer is always re-verified with
 // tempart.CheckFeasible, so a pathological tie can cost a cache re-solve
 // but never a wrong answer.
-func (g *Graph) CanonicalOrder() []int {
+func (g *Graph) CanonicalOrder() []int { return g.canonicalOrder(g.refineSigs()) }
+
+func (g *Graph) canonicalOrder(sigs []uint64) []int {
 	n := len(g.tasks)
-	sigs := g.refineSigs()
 	depth := make([]int, n)
 	if order, err := g.TopoOrder(); err == nil {
 		for _, v := range order {
@@ -189,12 +234,11 @@ func (g *Graph) CanonicalOrder() []int {
 	for i := range out {
 		out[i] = i
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ta, tb := out[a], out[b]
-		if depth[ta] != depth[tb] {
-			return depth[ta] < depth[tb]
+	slices.SortStableFunc(out, func(a, b int) int {
+		if c := cmp.Compare(depth[a], depth[b]); c != 0 {
+			return c
 		}
-		return sigs[ta] < sigs[tb]
+		return cmp.Compare(sigs[a], sigs[b])
 	})
 	return out
 }

@@ -71,6 +71,12 @@ func New(name string) *Graph {
 // AddTask adds a task and returns its index. The task name must be unique
 // and non-empty.
 func (g *Graph) AddTask(t Task) (int, error) {
+	tc := t
+	return g.addTask(&tc)
+}
+
+// addTask adds the task t points to, without copying it.
+func (g *Graph) addTask(t *Task) (int, error) {
 	if t.Name == "" {
 		return 0, errors.New("dfg: task name must be non-empty")
 	}
@@ -81,8 +87,7 @@ func (g *Graph) AddTask(t Task) (int, error) {
 		return 0, fmt.Errorf("dfg: duplicate task name %q", t.Name)
 	}
 	id := len(g.tasks)
-	tc := t
-	g.tasks = append(g.tasks, &tc)
+	g.tasks = append(g.tasks, t)
 	g.index[t.Name] = id
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)

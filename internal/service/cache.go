@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/dfg"
 	"repro/internal/faultinject"
 	"repro/internal/lp"
 	"repro/internal/tempart"
@@ -31,7 +30,12 @@ import (
 // changing it (traced requests bypass the cache entirely, but their key —
 // were one computed — must equal the untraced key so they could never
 // shadow or split a memo entry).
-func (r *Request) CacheKey() string {
+func (r *Request) CacheKey() string { return r.cacheKey(r.Graph.StructureHash()) }
+
+// cacheKey derives the key from the graph's already-computed structure
+// hash, so the solve path can take the hash and the canonical order from
+// one dfg.Canonical pass.
+func (r *Request) cacheKey(structure string) string {
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -42,7 +46,7 @@ func (r *Request) CacheKey() string {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
-	puts(r.Graph.StructureHash())
+	puts(structure)
 	hashBoard(put, puts, r.Board)
 	puts(r.Engine)
 	put(uint64(r.MaxPartitions))
@@ -125,8 +129,9 @@ type entry struct {
 	priceRounds  int
 }
 
-// newEntry canonicalizes a partitioning of g into a cache entry.
-func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
+// newEntry canonicalizes a partitioning into a cache entry; ord is the
+// canonical order (dfg.Canonical) of the solved graph.
+func newEntry(ord []int, p *tempart.Partitioning) *entry {
 	e := &entry{
 		n:            p.N,
 		optimal:      p.Optimal,
@@ -151,7 +156,6 @@ func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
 		priceRounds:  p.Stats.PricingRounds,
 	}
 	if p.N > 0 {
-		ord := g.CanonicalOrder()
 		e.assignCanon = make([]int, len(ord))
 		for pos, t := range ord {
 			e.assignCanon[pos] = p.Assign[t]
@@ -161,12 +165,14 @@ func newEntry(g *dfg.Graph, p *tempart.Partitioning) *entry {
 }
 
 // apply transfers the cached result onto req's graph via its canonical
-// order and re-verifies it: the assignment must be feasible and reproduce
-// the cached optimum latency. An error means the graphs collided or WL ties
-// were not interchangeable — the caller must fall back to a fresh solve
-// (this guards correctness against the theoretical imperfection of WL
-// hashing; it never silently serves a wrong answer).
-func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
+// order ord (dfg.Canonical of req.Graph) and re-verifies it: the assignment
+// must be feasible and reproduce the cached optimum latency, re-evaluated
+// with the longest-chain DP (tempart.ChainDelays) instead of a path
+// enumeration. An error means the graphs collided or WL ties were not
+// interchangeable — the caller must fall back to a fresh solve (this
+// guards correctness against the theoretical imperfection of WL hashing;
+// it never silently serves a wrong answer).
+func (e *entry) apply(req *Request, ord []int) (*tempart.Partitioning, error) {
 	if faultinject.Fire(faultinject.CacheVerifyFail) {
 		return nil, fmt.Errorf("service: injected cache verification failure")
 	}
@@ -181,7 +187,6 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 		return nil, fmt.Errorf("service: cached assignment has %d tasks, graph has %d",
 			len(e.assignCanon), g.NumTasks())
 	}
-	ord := g.CanonicalOrder()
 	assign := make([]int, g.NumTasks())
 	for pos, t := range ord {
 		assign[t] = e.assignCanon[pos]
@@ -189,15 +194,10 @@ func (e *entry) apply(req *Request) (*tempart.Partitioning, error) {
 	if err := tempart.CheckFeasible(g, req.Board, assign, e.n); err != nil {
 		return nil, fmt.Errorf("service: cached assignment infeasible on request graph: %w", err)
 	}
-	pathCap := req.PathCap
-	if pathCap == 0 {
-		pathCap = 20000
-	}
-	paths, err := g.Paths(pathCap)
+	delays, err := tempart.ChainDelays(g, assign, e.n)
 	if err != nil {
 		return nil, err
 	}
-	delays := tempart.EvaluateDelays(g, assign, e.n, paths)
 	lat := tempart.Latency(req.Board, delays)
 	if math.Abs(lat-e.latencyNS) > 1e-6*(1+math.Abs(e.latencyNS)) {
 		return nil, fmt.Errorf("service: cached latency %g != re-evaluated %g", e.latencyNS, lat)

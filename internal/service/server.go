@@ -290,7 +290,12 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 		return finish(p, tr, OriginMiss, err)
 	}
 
-	key := req.CacheKey()
+	// One WL refinement gives both the key's structure hash and the
+	// canonical order the cached assignment is stored in and transferred
+	// through. The order belongs to this call (the flight closure captures
+	// it); it is not memoized on the graph, which callers may mutate.
+	structure, order := req.Graph.Canonical()
+	key := req.cacheKey(structure)
 	// Deadline requests stay off the singleflight: a shared flight solves
 	// under a detached context that cannot honour this request's deadline,
 	// and a partial result must never be handed to other waiters or stored.
@@ -299,14 +304,14 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 	// only partial results bypass it, in both directions.
 	if req.DeadlineMS > 0 {
 		if ent, ok := s.cache.Get(key); ok {
-			if p, aerr := ent.apply(req); aerr == nil {
+			if p, aerr := ent.apply(req, order); aerr == nil {
 				return finish(p, nil, OriginHit, nil)
 			}
 			s.cache.noteRemapFallback()
 		}
 		p, tr, err := runBackend(ctx, nil)
 		if err == nil && !p.Partial {
-			s.cache.Put(key, newEntry(req.Graph, p))
+			s.cache.Put(key, newEntry(order, p))
 		}
 		return finish(p, tr, OriginMiss, err)
 	}
@@ -326,12 +331,12 @@ func (s *Server) solve(ctx context.Context, req *Request) (*Result, error) {
 			return nil, fmt.Errorf("service: partial result cannot be cached")
 		}
 		freshTrace = tr
-		return newEntry(req.Graph, p), nil
+		return newEntry(order, p), nil
 	})
 	if err != nil {
 		return finish(nil, nil, origin, err)
 	}
-	p, err := ent.apply(req)
+	p, err := ent.apply(req, order)
 	if err != nil {
 		// Canonical transfer failed (isomorphic-in-hash but not
 		// transfer-compatible, or a genuine hash collision): solve this

@@ -1066,6 +1066,45 @@ func EvaluateDelays(g *dfg.Graph, assign []int, N int, paths [][]int) []float64 
 	return d
 }
 
+// ChainDelays computes the same d_p as EvaluateDelays over every
+// root-to-leaf path, without enumerating paths: for each partition a
+// longest in-partition-chain DP in topological order, O(N·(V+E)). The
+// result is bitwise equal to the enumerating form on every graph that
+// passes Validate: delays are non-negative and rounded addition is
+// monotone, so max(a, b) + D == max(a + D, b + D) exactly, and each DP
+// value is the largest of the left-to-right path sums EvaluateDelays forms.
+func ChainDelays(g *dfg.Graph, assign []int, N int) ([]float64, error) {
+	if len(assign) != g.NumTasks() {
+		return nil, fmt.Errorf("tempart: assignment length %d != %d tasks", len(assign), g.NumTasks())
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	d := make([]float64, N)
+	// chain[v] is the largest in-partition delay sum over paths from a root
+	// to v, v included.
+	chain := make([]float64, g.NumTasks())
+	for p := 0; p < N; p++ {
+		for _, v := range order {
+			c := 0.0
+			for _, u := range g.Preds(v) {
+				if chain[u] > c {
+					c = chain[u]
+				}
+			}
+			if assign[v] == p {
+				c += g.Task(v).Delay
+			}
+			chain[v] = c
+			if len(g.Succs(v)) == 0 && c > d[p] {
+				d[p] = c
+			}
+		}
+	}
+	return d, nil
+}
+
 // Latency computes Eq. 8's objective value N*CT + Σ d_p for a delay vector.
 func Latency(board arch.Board, delays []float64) float64 {
 	sum := 0.0
