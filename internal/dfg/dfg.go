@@ -204,21 +204,20 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	for i := range g.tasks {
 		indeg[i] = len(g.pred[i])
 	}
-	queue := make([]int, 0, n)
+	// Kahn's algorithm with the output as its FIFO queue: order[head:]
+	// holds the tasks whose predecessors are all placed, and dequeue order
+	// is enqueue order.
+	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, s := range g.succ[v] {
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.succ[order[head]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}

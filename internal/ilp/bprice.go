@@ -111,15 +111,21 @@ type BPSolution struct {
 // forbidden content with it; pricers use it against the forbidden map.
 func BPKey(items []int) string {
 	sorted := append([]int(nil), items...)
-	insertionSortInts(sorted)
-	buf := make([]byte, 0, 4*len(sorted))
-	for k, it := range sorted {
+	return string(AppendBPKey(make([]byte, 0, 4*len(sorted)), sorted))
+}
+
+// AppendBPKey appends the BPKey of items to dst, sorting items in place.
+// With reused buffers it does not allocate, so a pricer can test every
+// candidate with forbidden[string(key)] and pay only for the keys it keeps.
+func AppendBPKey(dst []byte, items []int) []byte {
+	insertionSortInts(items)
+	for k, it := range items {
 		if k > 0 {
-			buf = append(buf, ',')
+			dst = append(dst, ',')
 		}
-		buf = strconv.AppendInt(buf, int64(it), 10)
+		dst = strconv.AppendInt(dst, int64(it), 10)
 	}
-	return string(buf)
+	return dst
 }
 
 func insertionSortInts(a []int) {
@@ -168,6 +174,10 @@ type bpState struct {
 	patCost []float64      // master objective coefficient per pattern
 	byKey   map[string]int // content key -> pattern index
 	words   int            // bitset words per pattern
+	// keyItems and key are addColumns' scratch: a candidate's sorted items
+	// and content key, so only the columns kept allocate their copies.
+	keyItems []int
+	key      []byte
 
 	// Per-node scratch, rebuilt by applyNode.
 	same      [][2]int
@@ -343,16 +353,17 @@ func (st *bpState) limitHit() bool {
 func (st *bpState) addColumns(cols []BPColumn) error {
 	var batch []lp.NewCol
 	for _, c := range cols {
-		key := BPKey(c.Items)
-		if _, dup := st.byKey[key]; dup || st.forbidden[key] {
+		st.keyItems = append(st.keyItems[:0], c.Items...)
+		st.key = AppendBPKey(st.key[:0], st.keyItems)
+		if _, dup := st.byKey[string(st.key)]; dup || st.forbidden[string(st.key)] {
 			continue
 		}
+		key := string(st.key)
 		pat := bpPattern{
-			items: append([]int(nil), c.Items...),
+			items: append([]int(nil), st.keyItems...),
 			words: make([]uint64, st.words),
 			key:   key,
 		}
-		insertionSortInts(pat.items)
 		rows := make([]int, 0, len(pat.items)+1)
 		vals := make([]float64, 0, len(pat.items)+1)
 		for _, it := range pat.items {

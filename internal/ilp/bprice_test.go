@@ -231,3 +231,26 @@ func TestSolveBPNodeLimit(t *testing.T) {
 		t.Fatalf("root bound %v trusted=%v, want trusted 1.5", sol.Bound, sol.BoundTrusted)
 	}
 }
+
+// TestAppendBPKey pins the allocation-free key builder pricers test
+// candidates with to BPKey's content key: the same sorted, comma-joined
+// items whatever the input order, with no allocation once the buffers
+// have grown.
+func TestAppendBPKey(t *testing.T) {
+	if got := BPKey([]int{12, 3, 7}); got != "3,7,12" {
+		t.Fatalf("BPKey = %q, want \"3,7,12\"", got)
+	}
+	items := []int{40, 2, 17, 9}
+	buf := AppendBPKey(nil, append([]int(nil), items...))
+	if string(buf) != BPKey(items) {
+		t.Fatalf("AppendBPKey = %q, BPKey = %q", buf, BPKey(items))
+	}
+	scratch := make([]int, len(items))
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(scratch, items)
+		buf = AppendBPKey(buf[:0], scratch)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendBPKey allocates %v times per call with reused buffers", allocs)
+	}
+}

@@ -74,6 +74,19 @@ type patternPricer struct {
 	inSet    []bool
 	chain    []float64
 	saveDesc [][]uint64
+	keyItems []int  // sorted copy of a candidate, for its content key
+	key      []byte // the candidate's ilp.BPKey, looked up without allocating
+}
+
+// forbids reports whether the branching forbids the pattern with the
+// given items, building its content key in the pricer's scratch buffers.
+func (pp *patternPricer) forbids(forbidden map[string]bool, items []int) bool {
+	if len(forbidden) == 0 {
+		return false
+	}
+	pp.keyItems = append(pp.keyItems[:0], items...)
+	pp.key = ilp.AppendBPKey(pp.key[:0], pp.keyItems)
+	return forbidden[string(pp.key)]
 }
 
 // pricerBudget bounds one pricing call's DFS steps. Beyond it the round is
@@ -396,7 +409,7 @@ func (pp *patternPricer) price(lambda []float64, mu float64, same, differ [][2]i
 						}
 					}
 				}
-				if complete && !forbidden[ilp.BPKey(cur)] {
+				if complete && !pp.forbids(forbidden, cur) {
 					record(cost, rc)
 				}
 			}

@@ -368,9 +368,9 @@ func Solve(in Input) (*Partitioning, error) {
 		relax++
 		probeSpan := in.Trace.BeginArg(obs.PhaseProbe, int64(n))
 		// Bin-packing dual bound: a candidate count below the packing need
-		// is infeasible outright — cheaper than both the exact packing DFS
-		// below and any branch-and-bound infeasibility proof, and immune to
-		// the DFS's node budget.
+		// is infeasible outright — cheaper than both the exact packing
+		// search below and any branch-and-bound infeasibility proof, and
+		// immune to the search's node budget.
 		if n < tally.packNeed {
 			prunedN++
 			tally.dualFathoms.Add(1)
@@ -982,62 +982,6 @@ func solveForN(in Input, pre *presolve, paths [][]int, N int, tally *proofTally)
 		part.Gap = part.Latency - part.LatencyBound
 	}
 	return part, nil
-}
-
-// packingFeasible decides one-dimensional bin packing feasibility by
-// depth-first search with symmetry pruning (items sorted descending; an
-// item may only open the first empty bin). Exact for the small task counts
-// the ILP handles; bails out optimistically after a node budget so it never
-// wrongly reports infeasible.
-func packingFeasible(items []int, cap, bins int) bool {
-	sorted := append([]int(nil), items...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	if len(sorted) > 0 && sorted[0] > cap {
-		return false
-	}
-	load := make([]int, bins)
-	nodes := 0
-	const nodeBudget = 200000
-	var place func(i int) bool
-	place = func(i int) bool {
-		if i == len(sorted) {
-			return true
-		}
-		nodes++
-		if nodes > nodeBudget {
-			return true // give up: let the ILP decide
-		}
-		seenEmpty := false
-		for b := 0; b < bins; b++ {
-			if load[b] == 0 {
-				if seenEmpty {
-					break // identical empty bins are symmetric
-				}
-				seenEmpty = true
-			}
-			if load[b]+sorted[i] > cap {
-				continue
-			}
-			// Skip bins with identical load (symmetry).
-			dup := false
-			for b2 := 0; b2 < b; b2++ {
-				if load[b2] == load[b] {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			load[b] += sorted[i]
-			if place(i + 1) {
-				return true
-			}
-			load[b] -= sorted[i]
-		}
-		return false
-	}
-	return place(0)
 }
 
 // EvaluateDelays computes d_p = max over paths of the in-partition path

@@ -1,6 +1,7 @@
 package tempart
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"sort"
@@ -502,9 +503,9 @@ func (pr *presolve) maxFeasibleN() int {
 // packingNeed is the instance-wide bin-packing dual bound: the max of
 // packingNeedDim over every capped resource dimension. A candidate
 // partition count below it is provably infeasible — no LP, no search, not
-// even the exact packing DFS — which is how the relax loop fathoms the
-// too-small N probes of near-capacity packings whose area bound undershoots
-// the integral minimum.
+// even the exact bin-completion search of packingFeasible — which is how
+// the relax loop fathoms the too-small N probes of near-capacity packings
+// whose area bound undershoots the integral minimum.
 func (pr *presolve) packingNeed() int {
 	need := packingNeedDim(pr.res, pr.board.FPGA.CLBs)
 	for k, demand := range pr.extraDemand {
@@ -528,6 +529,120 @@ func (pr *presolve) packingFeasibleAll(n int) bool {
 		}
 	}
 	return true
+}
+
+// packingNodeBudget bounds the steps of one packingSearch; past it the
+// check answers an optimistic true and leaves the decision to the model.
+const packingNodeBudget = 200000
+
+// packingFeasible decides one-dimensional bin packing feasibility: whether
+// items fit into bins bins of capacity cap. It is exact within
+// packingNodeBudget search steps and optimistic past them, so it never
+// wrongly reports infeasible.
+func packingFeasible(items []int, cap, bins int) bool {
+	ok, _ := packingSearch(items, cap, bins)
+	return ok
+}
+
+// packingSearch is packingFeasible's bin-completion search (Korf, "An
+// Improved Algorithm for Optimal Bin Packing", IJCAI 2003), also reporting
+// the steps it took. The state is the count of remaining items of each
+// distinct size, and bins are filled one at a time: each bin takes the
+// largest remaining item, then every combination of counts of the equal or
+// smaller sizes that fits beside it and leaves no remaining item that
+// would still fit. That last rule loses nothing: a bin with room for an
+// item packed elsewhere can take it over. A state whose remaining area
+// exceeds binsLeft·cap is pruned, and a count vector refuted with k bins
+// left is memoized, since it is refuted with any fewer bins too. Every
+// completion step counts against the budget, so inputs of all-distinct
+// sizes stay bounded.
+func packingSearch(items []int, cap, bins int) (ok bool, nodes int) {
+	if bins <= 0 {
+		return len(items) == 0, 0
+	}
+	sorted := make([]int, 0, len(items))
+	area := 0
+	for _, it := range items {
+		if it > cap {
+			return false, 0
+		}
+		if it > 0 { // zero-size items fit anywhere
+			sorted = append(sorted, it)
+			area += it
+		}
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	var size, count []int // distinct sizes, largest first, and their counts
+	for i, s := range sorted {
+		if i == 0 || s != sorted[i-1] {
+			size = append(size, s)
+			count = append(count, 0)
+		}
+		count[len(count)-1]++
+	}
+	refuted := map[string]int{} // count vector → most bins it failed with
+	var key []byte
+	encode := func() []byte {
+		key = key[:0]
+		for _, c := range count {
+			key = binary.AppendUvarint(key, uint64(c))
+		}
+		return key
+	}
+
+	var fill func(binsLeft, area int) bool
+	// complete decides how many items of size[j] join the open bin, which
+	// has room left; j == len(size) closes it and fills the next.
+	var complete func(j, room, binsLeft, area int) bool
+	fill = func(binsLeft, area int) bool {
+		if area == 0 {
+			return true
+		}
+		if area > binsLeft*cap {
+			return false
+		}
+		if k, seen := refuted[string(encode())]; seen && k >= binsLeft {
+			return false
+		}
+		i := 0
+		for count[i] == 0 {
+			i++
+		}
+		count[i]--
+		ok := complete(i, cap-size[i], binsLeft, area-size[i])
+		count[i]++
+		if !ok {
+			refuted[string(encode())] = binsLeft
+		}
+		return ok
+	}
+	complete = func(j, room, binsLeft, area int) bool {
+		nodes++
+		if nodes > packingNodeBudget {
+			return true
+		}
+		if j == len(size) {
+			for s := len(size) - 1; s >= 0; s-- {
+				if count[s] > 0 {
+					if size[s] <= room {
+						return false // not maximal: a larger completion dominates
+					}
+					break
+				}
+			}
+			return fill(binsLeft-1, area)
+		}
+		for x := min(count[j], room/size[j]); x >= 0; x-- {
+			count[j] -= x
+			ok := complete(j+1, room-x*size[j], binsLeft, area-x*size[j])
+			count[j] += x
+			if ok {
+				return true
+			}
+		}
+		return false
+	}
+	return fill(bins, area), nodes
 }
 
 // nodeScratch is the per-call workspace of the node bound, pooled because
